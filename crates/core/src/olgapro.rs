@@ -24,7 +24,8 @@ use udf_gp::local::select_local_with;
 use udf_gp::model::Prediction;
 use udf_gp::train::{newton_step_norm, train, TrainConfig};
 use udf_gp::{
-    GpModel, Kernel, LocalPredictorCache, PredictScratch, SelectScratch, SquaredExponential,
+    GpModel, Kernel, LocalPredictorCache, PanelStep, PosteriorPanel, SelectScratch,
+    SquaredExponential,
 };
 use udf_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceBuffer, TraceEvent};
 use udf_prob::InputDistribution;
@@ -58,6 +59,13 @@ pub struct OlgaproMetrics {
     pub lp_cache_hits: Counter,
     /// Local-predictor cache misses (fresh subset factorizations).
     pub lp_cache_misses: Counter,
+    /// Online-tuning inferences that appended the newest training point to
+    /// the tuple's posterior panel in O(l·m).
+    pub panel_appends: Counter,
+    /// Online-tuning inferences that predicted the tuple's samples from
+    /// scratch (first inference of a tuple, retraining, eviction, a
+    /// selection that is not an append, or global inference).
+    pub panel_rebuilds: Counter,
 }
 
 impl OlgaproMetrics {
@@ -72,6 +80,8 @@ impl OlgaproMetrics {
             fastpath_ns: Histogram::disabled(),
             lp_cache_hits: Counter::disabled(),
             lp_cache_misses: Counter::disabled(),
+            panel_appends: Counter::disabled(),
+            panel_rebuilds: Counter::disabled(),
         }
     }
 
@@ -86,13 +96,16 @@ impl OlgaproMetrics {
             fastpath_ns: reg.histogram("olgapro.fastpath_ns"),
             lp_cache_hits: reg.counter("olgapro.lp_cache.hits"),
             lp_cache_misses: reg.counter("olgapro.lp_cache.misses"),
+            panel_appends: reg.counter("olgapro.panel.appends"),
+            panel_rebuilds: reg.counter("olgapro.panel.rebuilds"),
         }
     }
 }
 
 /// Reusable buffers for one evaluation lane: the Monte Carlo sample block,
-/// the local-selection scratch, the blocked-prediction scratch, and the
-/// one-entry [`LocalPredictorCache`]. Each [`crate::sched::BatchScheduler`]
+/// the local-selection scratch, the posterior panel (whose buffers the
+/// blocked one-shot predictions borrow), and the one-entry
+/// [`LocalPredictorCache`]. Each [`crate::sched::BatchScheduler`]
 /// worker owns one, so the warm fast path allocates nothing per tuple in
 /// steady state; sequential callers ([`Olgapro::process`]) reuse the one
 /// embedded in the evaluator.
@@ -108,7 +121,7 @@ pub struct InferScratch {
 #[derive(Debug, Default, Clone)]
 struct InferBuffers {
     select: SelectScratch,
-    predict: PredictScratch,
+    panel: PosteriorPanel,
     cache: LocalPredictorCache,
     preds: Vec<Prediction>,
     means: Vec<f64>,
@@ -350,7 +363,8 @@ impl Olgapro {
         input.sample_n_into(rng, m, &mut scratch.samples);
         let bbox = BoundingBox::from_points(scratch.samples.iter().map(|s| s.as_slice()));
         let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
-        let eps_gp = self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf)?;
+        let eps_gp =
+            self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf, false)?;
         let (y_hat, y_s, y_l) = envelope_ecdfs(&scratch.buf.means, &scratch.buf.sds, z_alpha)?;
         if let Some(t0) = t_fast {
             self.metrics.fastpath_ns.record_duration(t0.elapsed());
@@ -400,6 +414,7 @@ impl Olgapro {
         // Step 1: draw m samples (m from ε_MC, δ_MC).
         let m = self.config.samples_per_input();
         input.sample_n_into(rng, m, &mut scratch.samples);
+        scratch.buf.panel.reset();
         let samples = &scratch.samples;
         let bbox = BoundingBox::from_points(samples.iter().map(|s| s.as_slice()));
 
@@ -425,7 +440,7 @@ impl Olgapro {
         let t_tuning = self.metrics.tuning_ns.enabled().then(Instant::now);
         let z_alpha = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
         let mut eps_gp =
-            self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf)?;
+            self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf, true)?;
         while eps_gp > split.eps_gp && points_added < self.config.max_points_per_input {
             // Model-size budget: bounded per-tuple cost on long runs.
             if self.at_capacity() {
@@ -469,7 +484,8 @@ impl Olgapro {
                 },
             );
             points_added += 1;
-            eps_gp = self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf)?;
+            eps_gp =
+                self.infer_and_bound(&scratch.samples, &bbox, z_alpha, &mut scratch.buf, true)?;
         }
         if let Some(t0) = t_tuning {
             self.metrics.tuning_ns.record_duration(t0.elapsed());
@@ -493,7 +509,8 @@ impl Olgapro {
                 retrained = true;
                 // Re-run inference with the new hyperparameters (step 12).
                 let z2 = simultaneous_z(self.model.kernel(), &bbox, split.delta_gp);
-                eps_gp = self.infer_and_bound(&scratch.samples, &bbox, z2, &mut scratch.buf)?;
+                eps_gp =
+                    self.infer_and_bound(&scratch.samples, &bbox, z2, &mut scratch.buf, true)?;
                 if let Some(t0) = t_retrain {
                     self.metrics.retrain_ns.record_duration(t0.elapsed());
                 }
@@ -541,12 +558,16 @@ impl Olgapro {
     /// multi-RHS solve ([`udf_gp::batch`]), bit-identical to the former
     /// per-sample loop, and the subset factorization is reused via
     /// `buf.cache` when consecutive tuples select the same neighborhood.
+    /// With `tuning` (the online-tuning loop of one tuple) local inference
+    /// goes through `buf.panel`, which appends a just-added training point
+    /// in O(l·m) instead of predicting from scratch — bit-identical too.
     fn infer_and_bound(
         &self,
         samples: &[Vec<f64>],
         bbox: &BoundingBox,
         z_alpha: f64,
         buf: &mut InferBuffers,
+        tuning: bool,
     ) -> Result<f64> {
         // Local inference when the kernel is isotropic; global otherwise.
         // An *empty* selection is legitimate (every training point is far
@@ -558,17 +579,31 @@ impl Olgapro {
                 Err(udf_gp::GpError::InvalidParameter { .. }) => false,
                 Err(e) => return Err(e.into()),
             };
-        if use_local {
-            let (lp, hit) = buf.cache.get_or_build(&self.model, &buf.select.selected)?;
-            if hit {
-                self.metrics.lp_cache_hits.inc();
-            } else {
-                self.metrics.lp_cache_misses.inc();
+        if !use_local {
+            if tuning {
+                self.metrics.panel_rebuilds.inc();
             }
-            lp.predict_batch_with(samples, &mut buf.predict, &mut buf.preds)?;
-        } else {
             self.model
-                .predict_batch_with(samples, &mut buf.predict, &mut buf.preds)?;
+                .predict_batch_with(samples, buf.panel.scratch_mut(), &mut buf.preds)?;
+        } else if tuning {
+            let step = buf.panel.predict_local(
+                &self.model,
+                &buf.select.selected,
+                samples,
+                &mut buf.cache,
+                &mut buf.preds,
+            )?;
+            match step {
+                PanelStep::Appended => self.metrics.panel_appends.inc(),
+                PanelStep::Rebuilt { cache_hit } => {
+                    self.metrics.panel_rebuilds.inc();
+                    self.count_lp_cache(cache_hit);
+                }
+            }
+        } else {
+            let (lp, hit) = buf.cache.get_or_build(&self.model, &buf.select.selected)?;
+            self.count_lp_cache(hit);
+            lp.predict_batch_with(samples, buf.panel.scratch_mut(), &mut buf.preds)?;
         }
         buf.means.clear();
         buf.sds.clear();
@@ -582,6 +617,14 @@ impl Olgapro {
             Metric::Ks => ks_bound(&y_hat, &y_s, &y_l),
         };
         Ok(eps_gp)
+    }
+
+    fn count_lp_cache(&self, hit: bool) {
+        if hit {
+            self.metrics.lp_cache_hits.inc();
+        } else {
+            self.metrics.lp_cache_misses.inc();
+        }
     }
 
     /// Online tuning (§5.2): choose the sample to evaluate next.
@@ -894,6 +937,45 @@ mod tests {
             assert_eq!(a.y_l.values(), b.y_l.values(), "tuple {i} upper");
             assert_eq!(a.eps_gp.to_bits(), b.eps_gp.to_bits(), "tuple {i} eps_gp");
             assert_eq!(a.z_alpha.to_bits(), b.z_alpha.to_bits(), "tuple {i} z");
+        }
+    }
+
+    #[test]
+    fn tuning_panel_matches_infer_only_bitwise() {
+        // Online tuning appends each new point to the tuple's posterior
+        // panel; without retraining, the final model re-inferred from
+        // scratch on the same samples must reproduce every output bit.
+        // 2-D tuples over a grid, with repeated centres of tiny spread
+        // (near-duplicate training points, so jitter escalation and
+        // non-append rebuilds occur), under both model budgets.
+        let udf = || BlackBoxUdf::from_fn("wave2", 2, |x| (x[0] * 1.7).sin() * (x[1] * 0.9).cos());
+        for budget in [None, Some(ModelBudget::EvictOldest)] {
+            let mut cfg = config(0.1);
+            cfg.retrain = RetrainStrategy::Never;
+            if let Some(b) = budget {
+                cfg = cfg.with_model_cap(14, b).unwrap();
+            }
+            let reg = MetricsRegistry::new();
+            let mut olga = Olgapro::new(udf(), cfg).with_metrics(OlgaproMetrics::register(&reg));
+            for i in 0..48u64 {
+                let (cx, cy) = ((i % 6) as f64 * 0.7, (i / 6) as f64 * 0.45);
+                let sd = if i % 5 == 3 { 1e-7 } else { 0.25 };
+                let input = InputDistribution::diagonal_gaussian(&[(cx, sd), (cy, sd)]).unwrap();
+                let a = olga.process(&input, &mut StdRng::seed_from_u64(i)).unwrap();
+                let b = olga
+                    .infer_only(&input, &mut StdRng::seed_from_u64(i))
+                    .unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a.y_hat.values()), bits(b.y_hat.values()), "tuple {i}");
+                assert_eq!(bits(a.y_s.values()), bits(b.y_s.values()), "tuple {i}");
+                assert_eq!(bits(a.y_l.values()), bits(b.y_l.values()), "tuple {i}");
+                assert_eq!(a.eps_gp.to_bits(), b.eps_gp.to_bits(), "tuple {i}");
+                assert_eq!(a.z_alpha.to_bits(), b.z_alpha.to_bits(), "tuple {i}");
+            }
+            let appends = reg.counter("olgapro.panel.appends").get();
+            let rebuilds = reg.counter("olgapro.panel.rebuilds").get();
+            assert!(appends > 0, "{budget:?}: tuning never appended");
+            assert!(rebuilds > 0);
         }
     }
 

@@ -475,6 +475,38 @@ impl BatchScheduler {
         }
     }
 
+    /// Run `phase` as a batch's fast phase: timed into
+    /// `sched.fast_phase_ns` and bracketed by [`TracePhase::Fast`] events.
+    /// Both are skipped when disabled, so untraced batches pay two relaxed
+    /// loads. [`run_two_phase`](Self::run_two_phase) wraps its parallel
+    /// inference in it; batches that are a single parallel map (MC) wrap
+    /// the map.
+    pub fn fast_phase<T>(&self, phase: impl FnOnce() -> T) -> T {
+        let t_fast = self.metrics.fast_phase_ns.enabled().then(Instant::now);
+        let traced = self.tracer.is_enabled();
+        if traced {
+            self.tracer.emit(
+                0,
+                TraceEvent::PhaseStart {
+                    phase: TracePhase::Fast,
+                },
+            );
+        }
+        let out = phase();
+        if traced {
+            self.tracer.emit(
+                0,
+                TraceEvent::PhaseEnd {
+                    phase: TracePhase::Fast,
+                },
+            );
+        }
+        if let Some(t0) = t_fast {
+            self.metrics.fast_phase_ns.record_duration(t0.elapsed());
+        }
+        out
+    }
+
     /// Drive one batch of `n` tuples through the two-phase pattern:
     ///
     /// 1. if [`BatchOps::needs_bootstrap`], tuple 0 runs the slow path
@@ -512,34 +544,21 @@ impl BatchScheduler {
 
         // Phase 1: parallel read-only inference against the frozen model.
         let shared: &O = ops;
-        let t_fast = self.metrics.fast_phase_ns.enabled().then(Instant::now);
-        self.tracer.emit(
-            0,
-            TraceEvent::PhaseStart {
-                phase: TracePhase::Fast,
-            },
-        );
-        let inferred: Vec<Result<GpOutput>> = self.try_map_indexed(n - start, |worker, i| {
-            let idx = start + i;
-            let mut rng = StdRng::seed_from_u64(shared.tuple_seed(idx));
-            // Each worker locks only its own slot, so this never contends.
-            // A contained panic (see `try_map`) may poison the slot; the
-            // scratch is only caches and buffers whose reuse is keyed for
-            // coherence, so recovering the inner value is always safe.
-            let mut scratch = self.scratch[worker]
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            shared.fast(idx, &mut rng, &mut scratch)
+        let inferred: Vec<Result<GpOutput>> = self.fast_phase(|| {
+            self.try_map_indexed(n - start, |worker, i| {
+                let idx = start + i;
+                let mut rng = StdRng::seed_from_u64(shared.tuple_seed(idx));
+                // Each worker locks only its own slot, so this never
+                // contends. A contained panic (see `try_map`) may poison
+                // the slot; the scratch is only caches and buffers whose
+                // reuse is keyed for coherence, so recovering the inner
+                // value is always safe.
+                let mut scratch = self.scratch[worker]
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                shared.fast(idx, &mut rng, &mut scratch)
+            })
         })?;
-        self.tracer.emit(
-            0,
-            TraceEvent::PhaseEnd {
-                phase: TracePhase::Fast,
-            },
-        );
-        if let Some(t0) = t_fast {
-            self.metrics.fast_phase_ns.record_duration(t0.elapsed());
-        }
 
         // Phase 2: sequential fold in tuple order.
         let _slow_span = self.metrics.slow_phase_ns.span();

@@ -222,6 +222,9 @@ pub struct LocalPredictor<'m> {
     /// Shared so [`crate::batch::LocalPredictorCache`] can hand the same
     /// factor to consecutive tuples without re-running the O(l³) build.
     chol: Arc<Cholesky>,
+    /// Diagonal jitter the factor was built with (above the model's when
+    /// the subset covariance needed escalation).
+    jitter: f64,
 }
 
 impl<'m> LocalPredictor<'m> {
@@ -234,11 +237,12 @@ impl<'m> LocalPredictor<'m> {
         let k = Matrix::from_symmetric_fn(indices.len(), |i, j| {
             model.kernel().eval(&xs[indices[i]], &xs[indices[j]])
         });
-        let (chol, _) = Cholesky::factor_with_jitter(&k, model.jitter(), 8)?;
+        let (chol, jitter) = Cholesky::factor_with_jitter(&k, model.jitter(), 8)?;
         Ok(LocalPredictor {
             model,
             indices,
             chol: Arc::new(chol),
+            jitter,
         })
     }
 
@@ -249,17 +253,24 @@ impl<'m> LocalPredictor<'m> {
         model: &'m GpModel,
         indices: Vec<usize>,
         chol: Arc<Cholesky>,
+        jitter: f64,
     ) -> Self {
         LocalPredictor {
             model,
             indices,
             chol,
+            jitter,
         }
     }
 
     /// The subset Cholesky factor (shared handle).
     pub(crate) fn factor_arc(&self) -> &Arc<Cholesky> {
         &self.chol
+    }
+
+    /// Diagonal jitter the subset factor was built with.
+    pub(crate) fn factor_jitter(&self) -> f64 {
+        self.jitter
     }
 
     /// The selected training-point indices.
@@ -325,6 +336,19 @@ impl<'m> LocalPredictor<'m> {
         scratch: &mut crate::batch::PredictScratch,
         out: &mut Vec<Prediction>,
     ) -> Result<()> {
+        self.predict_batch_keeping(xs, scratch, None, out)
+    }
+
+    /// [`LocalPredictor::predict_batch_with`] that also copies the raw
+    /// `l x m` kernel panel into `kernel_rows` when given (see
+    /// [`crate::batch::PosteriorPanel`]).
+    pub(crate) fn predict_batch_keeping(
+        &self,
+        xs: &[Vec<f64>],
+        scratch: &mut crate::batch::PredictScratch,
+        kernel_rows: Option<&mut Vec<f64>>,
+        out: &mut Vec<Prediction>,
+    ) -> Result<()> {
         for x in xs {
             if x.len() != self.model.dim() {
                 return Err(GpError::DimensionMismatch {
@@ -341,6 +365,7 @@ impl<'m> LocalPredictor<'m> {
             &self.chol,
             xs,
             scratch,
+            kernel_rows,
             out,
         )
     }

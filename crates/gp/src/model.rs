@@ -36,6 +36,9 @@ pub struct GpModel {
     /// predictions (fit / add / evict / hyperparameter change), so cached
     /// derived state (e.g. a subset Cholesky factor) can detect staleness.
     epoch: u64,
+    /// The epoch the latest [`GpModel::add_point`] produced; equal to
+    /// `epoch` exactly when no other mutation has happened since.
+    append_epoch: u64,
     /// Cached kernel half-value distance (depends only on hyperparameters).
     half_value: OnceLock<f64>,
 }
@@ -58,6 +61,7 @@ impl Clone for GpModel {
             index: self.index.clone(),
             model_id: NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed),
             epoch: self.epoch,
+            append_epoch: self.append_epoch,
             half_value: self.half_value.clone(),
         }
     }
@@ -87,6 +91,7 @@ impl GpModel {
             index: RTree::new(dim),
             model_id: NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed),
             epoch: 0,
+            append_epoch: 0,
             half_value: OnceLock::new(),
         }
     }
@@ -102,6 +107,15 @@ impl GpModel {
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// True when this model is its state at `epoch` plus exactly one
+    /// [`GpModel::add_point`]: same kernel, jitter and training points, with
+    /// the new point last. Derived state keyed on `(model_id, epoch)` can
+    /// then be extended by the new point instead of rebuilt.
+    #[inline]
+    pub(crate) fn grew_from(&self, epoch: u64) -> bool {
+        self.epoch == epoch + 1 && self.append_epoch == self.epoch
     }
 
     /// Override the diagonal jitter (must be non-negative).
@@ -242,6 +256,7 @@ impl GpModel {
             });
         }
         self.epoch += 1;
+        self.append_epoch = self.epoch;
         match &mut self.chol {
             None => {
                 self.xs.push(x.clone());
@@ -373,6 +388,7 @@ impl GpModel {
             chol,
             xs,
             scratch,
+            None,
             out,
         )
     }

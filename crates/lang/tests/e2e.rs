@@ -287,6 +287,29 @@ fn explain_analyze_reports_operator_timings() {
 
 /// ANALYZE must not change what a subsequent identical query computes:
 /// the digest in the annotated report equals the plain query's digest.
+/// The MC relation path is one parallel map; EXPLAIN ANALYZE attributes it
+/// to the scheduler's fast phase like the GP path's parallel inference.
+#[test]
+fn explain_analyze_mc_records_fast_phase() {
+    let mut ctx = ctx_with_sky();
+    let QueryOutput::Plan(report) = run_uql(
+        "EXPLAIN ANALYZE SELECT GalAge(z) FROM sky \
+         WHERE PR(GalAge(z) IN [0.5, 0.9]) >= 0.6 USING mc WORKERS 2 SEED 7",
+        &mut ctx,
+    )
+    .unwrap() else {
+        panic!("ANALYZE returns the annotated plan")
+    };
+    let count = report
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("sched.fast_phase_ns: count="))
+        .and_then(|rest| rest.split_whitespace().next()?.parse::<u64>().ok());
+    assert!(
+        count.is_some_and(|c| c > 0),
+        "no fast-phase sample:\n{report}"
+    );
+}
+
 #[test]
 fn explain_analyze_is_execution_faithful() {
     let q = "SELECT F3(x) WITH ACCURACY 0.25 0.05 FROM STREAM synth \

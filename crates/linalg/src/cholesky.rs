@@ -35,22 +35,66 @@ impl Cholesky {
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
         for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { pivot: i });
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
+            Self::fill_row(&mut l, i, &a.row(i)[..=i])?;
         }
         Ok(Cholesky { l })
+    }
+
+    /// Extend the factor of an `n x n` matrix `A` to the factor of the
+    /// `(n+1) x (n+1)` matrix whose leading block is `A` and whose new last
+    /// row is `a_row` (`n + 1` entries, the diagonal last), in O(n²).
+    ///
+    /// [`Cholesky::factor`] is a loop over this same row push, so the
+    /// extended factor equals a fresh factorization of the bordered matrix
+    /// bit for bit. Unlike [`Cholesky::append`], which solves for the new
+    /// row with [`Cholesky::solve_lower`] and a `dot`, it follows
+    /// `factor`'s operation order exactly.
+    ///
+    /// Returns [`LinalgError::NotPositiveDefinite`] when the new pivot is
+    /// not strictly positive; the factor is left unchanged.
+    pub fn push_row(&mut self, a_row: &[f64]) -> Result<()> {
+        let n = self.dim();
+        if a_row.len() != n + 1 {
+            return Err(LinalgError::DimensionMismatch {
+                expected: n + 1,
+                found: a_row.len(),
+                context: "Cholesky::push_row",
+            });
+        }
+        let mut l = Matrix::zeros(n + 1, n + 1);
+        for i in 0..n {
+            l.row_mut(i)[..=i].copy_from_slice(&self.l.row(i)[..=i]);
+        }
+        Self::fill_row(&mut l, n, a_row)?;
+        self.l = l;
+        Ok(())
+    }
+
+    /// Compute row `i` of the lower factor in place from `a_row`, the
+    /// entries `A[i][0..=i]`, given rows `0..i` of `l`: `sum -= L[i][k] ·
+    /// L[j][k]` for `k` ascending, then a true division by `L[j][j]` (or the
+    /// square root of the pivot on the diagonal).
+    fn fill_row(l: &mut Matrix, i: usize, a_row: &[f64]) -> Result<()> {
+        let n = l.cols();
+        let (done, rest) = l.as_mut_slice().split_at_mut(i * n);
+        let row = &mut rest[..n];
+        for j in 0..i {
+            let lj = &done[j * n..j * n + n];
+            let mut sum = a_row[j];
+            for k in 0..j {
+                sum -= row[k] * lj[k];
+            }
+            row[j] = sum / lj[j];
+        }
+        let mut sum = a_row[i];
+        for &lik in &row[..i] {
+            sum -= lik * lik;
+        }
+        if sum <= 0.0 || !sum.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite { pivot: i });
+        }
+        row[i] = sum.sqrt();
+        Ok(())
     }
 
     /// Factor `A + jitter·I`, escalating jitter by 10x up to `max_tries`
@@ -160,8 +204,24 @@ impl Cholesky {
     ///
     /// Returns an error if `rhs.len() != dim() * cols`.
     pub fn solve_lower_in_place(&self, rhs: &mut [f64], cols: usize) -> Result<()> {
+        self.solve_lower_tail_in_place(rhs, cols, 0)
+    }
+
+    /// [`Cholesky::solve_lower_in_place`] for rows `first..n` only: rows
+    /// `0..first` of `rhs` must already hold the solution `Y` (forward
+    /// substitution never revisits them), rows `first..n` hold `B`. After a
+    /// [`Cholesky::push_row`], solving just the new last row of a panel this
+    /// way equals solving the whole bordered panel afresh, bit for bit.
+    ///
+    /// Returns an error if `rhs.len() != dim() * cols` or `first > dim()`.
+    pub fn solve_lower_tail_in_place(
+        &self,
+        rhs: &mut [f64],
+        cols: usize,
+        first: usize,
+    ) -> Result<()> {
         let n = self.dim();
-        if rhs.len() != n * cols {
+        if rhs.len() != n * cols || first > n {
             return Err(LinalgError::DimensionMismatch {
                 expected: n * cols,
                 found: rhs.len(),
@@ -173,7 +233,7 @@ impl Cholesky {
         }
         for j0 in (0..cols).step_by(Self::RHS_BLOCK) {
             let jw = Self::RHS_BLOCK.min(cols - j0);
-            for i in 0..n {
+            for i in first..n {
                 let lrow = self.l.row(i);
                 let (solved, rest) = rhs.split_at_mut(i * cols);
                 let cur = &mut rest[j0..j0 + jw];
@@ -444,6 +504,20 @@ mod tests {
         let mut c = Cholesky::factor(&spd3()).unwrap();
         assert!(c.append(&[1.0], 1.0).is_err()); // wrong length
         assert!(c.append(&[10.0, 10.0, 10.0], 0.1).is_err()); // breaks PD
+    }
+
+    #[test]
+    fn push_row_rejects_and_leaves_factor_unchanged() {
+        let mut c = Cholesky::factor(&spd3()).unwrap();
+        let before = c.lower().clone();
+        assert!(c.push_row(&[1.0, 2.0]).is_err()); // wrong length
+        assert!(matches!(
+            c.push_row(&[10.0, 10.0, 10.0, 0.1]), // breaks PD
+            Err(LinalgError::NotPositiveDefinite { pivot: 3 })
+        ));
+        assert_eq!(c.lower(), &before);
+        let mut panel = vec![0.0; 6];
+        assert!(c.solve_lower_tail_in_place(&mut panel, 2, 4).is_err());
     }
 
     #[test]

@@ -72,6 +72,32 @@ proptest! {
     }
 
     #[test]
+    fn push_row_equals_factor_bitwise(
+        a in (1usize..9).prop_flat_map(spd_matrix),
+        cols in 1usize..70,
+    ) {
+        // Grow the factor from empty one row at a time, solving each new
+        // row of a multi-RHS panel as it arrives: both must equal the
+        // fresh factorization and the fresh whole-panel solve to the bit.
+        let n = a.rows();
+        let full = Cholesky::factor(&a).unwrap();
+        let b: Vec<f64> = (0..n * cols).map(|i| (i as f64 * 0.731).sin() * 3.0).collect();
+        let mut want = b.clone();
+        full.solve_lower_in_place(&mut want, cols).unwrap();
+
+        let mut inc = Cholesky::factor(&Matrix::zeros(0, 0)).unwrap();
+        let mut panel = Vec::new();
+        for i in 0..n {
+            inc.push_row(&a.row(i)[..=i]).unwrap();
+            panel.extend_from_slice(&b[i * cols..(i + 1) * cols]);
+            inc.solve_lower_tail_in_place(&mut panel, cols, i).unwrap();
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(inc.lower().as_slice()), bits(full.lower().as_slice()));
+        prop_assert_eq!(bits(&panel), bits(&want));
+    }
+
+    #[test]
     fn matmul_transpose_identity(
         data in prop::collection::vec(-3.0f64..3.0, 12)
     ) {

@@ -449,10 +449,12 @@ impl Executor {
                 let accuracy = self.accuracy;
                 let udf = &self.udf;
                 let results: Vec<udf_core::Result<FilterDecision<OutputDistribution>>> = sched
-                    .try_map(n, |i| {
-                        let (orig, input) = &inputs[i];
-                        let mut rng = StdRng::seed_from_u64(mix_seed(seed, 0, *orig as u64));
-                        mc_eval_tuple(udf, input, &accuracy, predicate.as_ref(), &mut rng)
+                    .fast_phase(|| {
+                        sched.try_map(n, |i| {
+                            let (orig, input) = &inputs[i];
+                            let mut rng = StdRng::seed_from_u64(mix_seed(seed, 0, *orig as u64));
+                            mc_eval_tuple(udf, input, &accuracy, predicate.as_ref(), &mut rng)
+                        })
                     })?;
                 for ((orig, _), res) in inputs.iter().zip(results) {
                     match res? {
